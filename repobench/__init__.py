@@ -1,0 +1,1 @@
+"""Repo benchmark: workloads, tracing and checks (see README.md)."""
